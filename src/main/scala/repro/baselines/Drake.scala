@@ -136,15 +136,8 @@ final class Drake extends KMeansAlgo {
         i += 1
       }
 
-      val (next, _) = KMeans.refine(data, a, centroids)
-      var maxDrift = 0.0
-      var j = 0
-      while (j < k) {
-        drifts(j) = Vec.dist(next(j), centroids(j))
-        if (drifts(j) > maxDrift) maxDrift = drifts(j)
-        j += 1
-      }
-      centroids = next
+      centroids = KMeans.refine(data, a, centroids, drifts)
+      val maxDrift = KMeans.maxDrift(drifts)
       i = 0
       while (i < n) {
         u(i) += drifts(a(i))

@@ -48,6 +48,7 @@ final class DualTree(val leafCapacity: Int = 8) extends KMeansAlgo {
     // v refinements, cum(v)(j) = Σ_{τ≤v} δ_τ(j)
     val cum = scala.collection.mutable.ArrayBuffer(new Array[Double](k))
     val cumMax = scala.collection.mutable.ArrayBuffer(0.0)
+    val nn = new KMeans.Nearest
 
     var it = 0
     var converged = false
@@ -58,25 +59,6 @@ final class DualTree(val leafCapacity: Int = 8) extends KMeansAlgo {
       def adjUb(ub: Double, c: Int, ver: Int): Double = ub + (cum(now)(c) - cum(ver)(c))
       def adjLb(lb: Double, ver: Int): Double = lb - (cumMax(now) - cumMax(ver))
 
-      /** Scan all k centroids from q. Returns (j1, d1, d2, dAssigned,
-        * lbExcludingAssigned) where `assigned` may be −1.
-        */
-      def scanAll(q: Array[Double], assigned: Int): (Int, Double, Double, Double, Double) = {
-        var j1 = -1; var d1 = Double.PositiveInfinity; var d2 = Double.PositiveInfinity
-        var dA = Double.PositiveInfinity
-        var minExcl = Double.PositiveInfinity
-        var j = 0
-        while (j < k) {
-          val t = counter.dist(q, centroids(j))
-          if (j == assigned) dA = t
-          else if (t < minExcl) minExcl = t
-          if (t < d1) { d2 = d1; d1 = t; j1 = j }
-          else if (t < d2) d2 = t
-          j += 1
-        }
-        (j1, d1, d2, dA, minExcl)
-      }
-
       def visitLeafPoint(p: Int, node: BallNode): Unit = {
         val a0 = state.assignments(p)
         if (a0 >= 0) {
@@ -85,9 +67,9 @@ final class DualTree(val leafCapacity: Int = 8) extends KMeansAlgo {
           u(p) = counter.dist(data(p), centroids(a0)) // tighten
           if (u(p) <= l(p)) { pruned += 1; return }
         }
-        val (j1, d1, d2, _, _) = scanAll(data(p), -1)
-        state.assignPoint(p, j1)
-        u(p) = d1; l(p) = d2; pVer(p) = now
+        KMeans.nearest(data(p), centroids, counter, nn)
+        state.assignPoint(p, nn.i1)
+        u(p) = nn.d1; l(p) = nn.d2; pVer(p) = now
       }
 
       def visit(node: BallNode): Unit = {
@@ -102,16 +84,21 @@ final class DualTree(val leafCapacity: Int = 8) extends KMeansAlgo {
             return // whole node keeps its assignment
           }
         }
-        val (j1, d1, d2, dA, lbExcl) = scanAll(node.pivot, if (node.wholly) node.assignedCluster else -1)
-        if (d2 - d1 > 2 * node.radius) {
-          state.batchAssign(node, j1)
-          nodeUb(id) = d1; nodeLb(id) = d2; nodeVer(id) = now
+        // Scan all k centroids, holding the assigned one's distance for the
+        // bounds below.
+        val a0 = if (node.wholly) node.assignedCluster else -1
+        val aSq = if (a0 >= 0) counter.dist2(node.pivot, centroids(a0)) else 0.0
+        KMeans.nearest(node.pivot, centroids, counter, nn, a0, aSq)
+        if (nn.d2 - nn.d1 > 2 * node.radius) {
+          state.batchAssign(node, nn.i1)
+          nodeUb(id) = nn.d1; nodeLb(id) = nn.d2; nodeVer(id) = now
           pruned += node.count
           return
         }
-        if (node.wholly && node.assignedCluster >= 0) {
-          // keep the marker's bounds fresh for the push-down below
-          nodeUb(id) = dA; nodeLb(id) = lbExcl; nodeVer(id) = now
+        if (a0 >= 0) {
+          // keep the marker's bounds fresh for the push-down below: the
+          // assigned distance and the nearest of the other centroids
+          nodeUb(id) = math.sqrt(aSq); nodeLb(id) = if (nn.i1 == a0) nn.d2 else nn.d1; nodeVer(id) = now
         }
         if (node.isLeaf) {
           state.pushDown(node)(onPoint = p => {

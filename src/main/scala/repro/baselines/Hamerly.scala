@@ -29,36 +29,21 @@ final class Hamerly extends KMeansAlgo {
     val l = new Array[Double](n)
     val s = new Array[Double](k)
     val drifts = new Array[Double](k)
+    val nn = new KMeans.Nearest
     var it = 0
     var converged = false
 
     /** Full scan of point i: set a, u (closest) and l (second closest). */
     def fullScan(i: Int): Unit = {
-      var best = -1; var d1 = Double.PositiveInfinity; var d2 = Double.PositiveInfinity
-      var j = 0
-      while (j < k) {
-        val t = counter.dist(data(i), centroids(j))
-        if (t < d1) { d2 = d1; d1 = t; best = j }
-        else if (t < d2) { d2 = t }
-        j += 1
-      }
-      a(i) = best; u(i) = d1; l(i) = d2
+      KMeans.nearest(data(i), centroids, counter, nn)
+      a(i) = nn.i1; u(i) = nn.d1; l(i) = nn.d2
     }
 
     while (it < maxIters && !converged) {
       // s(j): half the distance to the nearest other centroid.
       if (k > 1) {
         var j = 0
-        while (j < k) {
-          var best = Double.PositiveInfinity
-          var j2 = 0
-          while (j2 < k) {
-            if (j2 != j) { val t = counter.dist(centroids(j), centroids(j2)); if (t < best) best = t }
-            j2 += 1
-          }
-          s(j) = best / 2
-          j += 1
-        }
+        while (j < k) { s(j) = KMeans.nearestOther(j, centroids, counter, nn) / 2; j += 1 }
       }
 
       var i = 0
@@ -74,15 +59,8 @@ final class Hamerly extends KMeansAlgo {
         i += 1
       }
 
-      val (next, _) = KMeans.refine(data, a, centroids)
-      var j = 0
-      var maxDrift = 0.0
-      while (j < k) {
-        drifts(j) = Vec.dist(next(j), centroids(j))
-        if (drifts(j) > maxDrift) maxDrift = drifts(j)
-        j += 1
-      }
-      centroids = next
+      centroids = KMeans.refine(data, a, centroids, drifts)
+      val maxDrift = KMeans.maxDrift(drifts)
       i = 0
       while (i < n) { u(i) += drifts(a(i)); l(i) -= maxDrift; i += 1 }
       it += 1

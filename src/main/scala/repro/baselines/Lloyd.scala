@@ -27,23 +27,13 @@ final class Lloyd extends KMeansAlgo {
     val a = new Array[Int](n)
     var it = 0
     var converged = false
-    var drifts = new Array[Double](k)
+    val drifts = new Array[Double](k)
+    val nn = new KMeans.Nearest
 
     while (it < maxIters && !converged) {
       var i = 0
-      while (i < n) {
-        var best = -1; var bestD = Double.PositiveInfinity
-        var j = 0
-        while (j < k) {
-          val t = counter.dist2(data(i), centroids(j))
-          if (t < bestD) { bestD = t; best = j }
-          j += 1
-        }
-        a(i) = best
-        i += 1
-      }
-      val (next, dr) = KMeans.refine(data, a, centroids)
-      centroids = next; drifts = dr
+      while (i < n) { a(i) = KMeans.nearest(data(i), centroids, counter, nn).i1; i += 1 }
+      centroids = KMeans.refine(data, a, centroids, drifts)
       it += 1
       converged = KMeans.maxDrift(drifts) <= KMeans.Eps
       rec.markIterDone()

@@ -32,6 +32,7 @@ final class NoBound extends KMeansAlgo {
     val radius = new Array[Double](k)
     val cc = Array.ofDim[Double](k, k)
     val drifts = new Array[Double](k)
+    val nn = new KMeans.Nearest
     rec.markInitDone()
 
     var it = 0
@@ -42,14 +43,8 @@ final class NoBound extends KMeansAlgo {
         // Full assignment (the costly init the paper reports).
         var i = 0
         while (i < n) {
-          var best = -1; var bestD = Double.PositiveInfinity
-          var j = 0
-          while (j < k) {
-            val t = counter.dist(data(i), centroids(j))
-            if (t < bestD) { bestD = t; best = j }
-            j += 1
-          }
-          a(i) = best; dToOwn(i) = bestD
+          KMeans.nearest(data(i), centroids, counter, nn)
+          a(i) = nn.i1; dToOwn(i) = nn.d1
           i += 1
         }
       } else {
@@ -108,17 +103,9 @@ final class NoBound extends KMeansAlgo {
         }
       }
 
-      val (next, _) = KMeans.refine(data, a, centroids)
-      var maxDrift = 0.0
-      var j = 0
-      while (j < k) {
-        drifts(j) = Vec.dist(next(j), centroids(j))
-        if (drifts(j) > maxDrift) maxDrift = drifts(j)
-        j += 1
-      }
-      centroids = next
+      centroids = KMeans.refine(data, a, centroids, drifts)
       it += 1
-      converged = maxDrift <= KMeans.Eps
+      converged = KMeans.maxDrift(drifts) <= KMeans.Eps
       rec.markIterDone()
     }
 

@@ -132,14 +132,8 @@ final class Yinyang extends KMeansAlgo {
         i += 1
       }
 
-      val (next, _) = KMeans.refine(data, a, centroids)
-      var maxDrift = 0.0
-      var j = 0
-      while (j < k) {
-        drifts(j) = Vec.dist(next(j), centroids(j))
-        if (drifts(j) > maxDrift) maxDrift = drifts(j)
-        j += 1
-      }
+      centroids = KMeans.refine(data, a, centroids, drifts)
+      val maxDrift = KMeans.maxDrift(drifts)
       var g = 0
       while (g < nG) {
         var m = 0.0
@@ -149,7 +143,6 @@ final class Yinyang extends KMeansAlgo {
         groupDrift(g) = m
         g += 1
       }
-      centroids = next
       i = 0
       while (i < n) {
         u(i) += drifts(a(i))

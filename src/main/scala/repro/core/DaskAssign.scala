@@ -31,56 +31,34 @@ object DaskAssign {
       return state.tree.root.count.toLong
     }
 
-    def nearest1(q: Array[Double], ub: Double, seedId: Int, seedDist: Double): (Int, Double) =
-      if (index != null) index.nn1(q, ub, seedId, seedDist)
-      else {
-        var bi = if (seedId >= 0) seedId else -1
-        var bd = if (seedId >= 0) seedDist else Double.PositiveInfinity
-        var j = 0
-        while (j < k) {
-          if (j != seedId) { val t = counter.dist(q, centroids(j)); if (t < bd) { bd = t; bi = j } }
-          j += 1
-        }
-        (bi, bd)
-      }
-
-    def nearest2(q: Array[Double], ub: Double, seedId: Int, seedDist: Double): (Int, Double, Int, Double) =
-      if (index != null) { val b = index.nn2(q, ub, seedId, seedDist); (b.i1, b.d1, b.i2, b.d2) }
-      else {
-        var i1 = -1; var d1 = Double.PositiveInfinity
-        var i2 = -1; var d2 = Double.PositiveInfinity
-        var j = 0
-        while (j < k) {
-          val t = if (j == seedId) seedDist else counter.dist(q, centroids(j))
-          if (t < d1) { i2 = i1; d2 = d1; i1 = j; d1 = t }
-          else if (t < d2) { i2 = j; d2 = t }
-          j += 1
-        }
-        (i1, d1, i2, d2)
-      }
+    val nn = new KMeans.Nearest
 
     def assignPoint(p: Int, ub: Double): Unit = {
       val prev = state.assignments(p)
-      var seedDist = -1.0
+      var seedSq = 0.0; var seedDist = -1.0
       if (prev >= 0) {
-        seedDist = counter.dist(data(p), centroids(prev))
+        seedSq = counter.dist2(data(p), centroids(prev)); seedDist = math.sqrt(seedSq)
         if (cb != null && seedDist < cb(prev) / 2) { pruned += 1; return } // Eq. 4
       }
-      val (n1, _) = nearest1(data(p), ub, prev, seedDist)
+      val n1 =
+        if (index != null) index.nn1(data(p), ub, prev, seedDist)._1
+        else KMeans.nearest(data(p), centroids, counter, nn, prev, seedSq).i1
       state.assignPoint(p, n1)
     }
 
     def assignNode(node: BallNode, ub: Double): Unit = {
       val prev = if (node.wholly) node.assignedCluster else -1
-      var seedDist = -1.0
+      var seedSq = 0.0; var seedDist = -1.0
       if (prev >= 0) {
-        seedDist = counter.dist(node.pivot, centroids(prev))
+        seedSq = counter.dist2(node.pivot, centroids(prev)); seedDist = math.sqrt(seedSq)
         if (cb != null && seedDist + node.radius < cb(prev) / 2) { // Eq. 5
           pruned += node.count
           return
         }
       }
-      val (n1, d1, _, d2) = nearest2(node.pivot, ub, prev, seedDist)
+      val (n1, d1, d2) =
+        if (index != null) { val b = index.nn2(node.pivot, ub, prev, seedDist); (b.i1, b.d1, b.d2) }
+        else { KMeans.nearest(node.pivot, centroids, counter, nn, prev, seedSq); (nn.i1, nn.d1, nn.d2) }
       if (d2 - d1 > 2 * node.radius) { // Eq. 6
         state.batchAssign(node, n1)
         pruned += node.count
@@ -124,17 +102,9 @@ object DaskAssign {
         j += 1
       }
     } else {
+      val nn = new KMeans.Nearest
       var j = 0
-      while (j < k) {
-        var best = Double.PositiveInfinity
-        var j2 = 0
-        while (j2 < k) {
-          if (j2 != j) { val t = counter.dist(centroids(j), centroids(j2)); if (t < best) best = t }
-          j2 += 1
-        }
-        cb(j) = best
-        j += 1
-      }
+      while (j < k) { cb(j) = KMeans.nearestOther(j, centroids, counter, nn); j += 1 }
     }
     cb
   }

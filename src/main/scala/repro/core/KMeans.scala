@@ -74,44 +74,92 @@ object KMeans {
     out
   }
 
-  /** Standard refinement shared by all algorithms: mean of members, keeping
-    * the previous centroid for an emptied cluster. Returns (newCentroids,
-    * drifts).
+  /** Lloyd's refinement from scratch: sums and counts over `assignments`,
+    * then [[fromSums]]. Writes each centroid's drift into `drifts`.
     */
   def refine(
       data: Array[Array[Double]],
       assignments: Array[Int],
       old: Array[Array[Double]],
-  ): (Array[Array[Double]], Array[Double]) = {
+      drifts: Array[Double],
+  ): Array[Array[Double]] = {
     val k = old.length; val d = old(0).length
     val sums = Array.fill(k)(new Array[Double](d))
-    val counts = new Array[Int](k)
+    val counts = new Array[Long](k)
     var i = 0
     while (i < data.length) {
       val a = assignments(i)
       Vec.addInto(sums(a), data(i)); counts(a) += 1
       i += 1
     }
-    fromSums(sums, counts, old)
+    fromSums(sums, counts, old, drifts)
   }
 
-  /** Refinement from pre-aggregated (sum, count) pairs. */
+  /** The refinement every algorithm shares: each next centroid is the mean
+    * of its members, or the old centroid when the cluster is empty. Writes
+    * drifts(j) = ‖next(j) − old(j)‖; the result may share arrays with `old`.
+    */
   def fromSums(
       sums: Array[Array[Double]],
-      counts: Array[Int],
+      counts: Array[Long],
       old: Array[Array[Double]],
-  ): (Array[Array[Double]], Array[Double]) = {
+      drifts: Array[Double],
+  ): Array[Array[Double]] = {
     val k = old.length
-    val out = new Array[Array[Double]](k)
-    val drifts = new Array[Double](k)
+    val next = new Array[Array[Double]](k)
     var j = 0
     while (j < k) {
-      out(j) = if (counts(j) > 0) Vec.scale(sums(j), 1.0 / counts(j)) else old(j).clone()
-      drifts(j) = Vec.dist(out(j), old(j))
+      next(j) = if (counts(j) > 0) Vec.scale(sums(j), 1.0 / counts(j)) else old(j)
+      drifts(j) = Vec.dist(next(j), old(j))
       j += 1
     }
-    (out, drifts)
+    next
   }
+
+  /** Result slot of [[nearest]], reused across calls: the nearest centroid
+    * `i1` and the smallest and second-smallest squared distances (+∞ where
+    * there are fewer candidates).
+    */
+  final class Nearest {
+    var i1: Int = -1
+    var d1Sq: Double = Double.PositiveInfinity
+    var d2Sq: Double = Double.PositiveInfinity
+
+    def d1: Double = math.sqrt(d1Sq)
+    def d2: Double = math.sqrt(d2Sq)
+  }
+
+  /** The nearest-centroid rule of every exact algorithm: a linear scan that
+    * compares squared distances, the lowest centroid index winning an exact
+    * tie (Lloyd's rule). A caller that already holds candidate `heldId`'s
+    * squared distance passes it as `heldSq`; it is ranked at its own index
+    * and not recomputed, so the scan counts k − 1 distances instead of k.
+    */
+  def nearest(
+      q: Array[Double],
+      centroids: Array[Array[Double]],
+      counter: DistanceCounter,
+      out: Nearest,
+      heldId: Int = -1,
+      heldSq: Double = 0.0,
+  ): Nearest = {
+    var i1 = -1; var d1 = Double.PositiveInfinity; var d2 = Double.PositiveInfinity
+    var j = 0
+    while (j < centroids.length) {
+      val t = if (j == heldId) heldSq else counter.dist2(q, centroids(j))
+      if (t < d1) { d2 = d1; d1 = t; i1 = j }
+      else if (t < d2) d2 = t
+      j += 1
+    }
+    out.i1 = i1; out.d1Sq = d1; out.d2Sq = d2
+    out
+  }
+
+  /** Distance from centroid j to its nearest other centroid (+∞ when k = 1):
+    * [[nearest]] with j itself held at distance 0.
+    */
+  def nearestOther(j: Int, centroids: Array[Array[Double]], counter: DistanceCounter, out: Nearest): Double =
+    nearest(centroids(j), centroids, counter, out, heldId = j, heldSq = 0.0).d2
 
   def maxDrift(drifts: Array[Double]): Double = { var m = 0.0; var j = 0; while (j < drifts.length) { if (drifts(j) > m) m = drifts(j); j += 1 }; m }
 }

@@ -29,11 +29,6 @@ object Vec {
     var i = 0; while (i < a.length) { a(i) -= b(i); i += 1 }
   }
 
-  /** In-place a += s·b. */
-  def axpyInto(a: Array[Double], s: Double, b: Array[Double]): Unit = {
-    var i = 0; while (i < a.length) { a(i) += s * b(i); i += 1 }
-  }
-
   /** a / s as a fresh array. */
   def scale(a: Array[Double], s: Double): Array[Double] = {
     val out = new Array[Double](a.length)

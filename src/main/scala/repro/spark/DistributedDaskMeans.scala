@@ -81,75 +81,73 @@ object DistributedDaskMeans {
     val spark = df.sparkSession
     val parts = if (numPartitions > 0) numPartitions else spark.sparkContext.defaultParallelism
     val pts = df.select("id", "features").repartition(parts, col("id")).persist()
-    pts.count() // materialise so the partition layout is frozen
-
     val runId = java.util.UUID.randomUUID().toString
-    var centroids = init.map(_.map(_.clone())).getOrElse(initialCentroids(pts, k, seed))
-    require(centroids.length == k, s"need k=$k distinct initial centroids, got ${centroids.length}")
-    val d = centroids(0).length
-    var cb: Array[Double] = new Array[Double](k)
-    val drifts = new Array[Double](k)
-    val driverCounter = new DistanceCounter
-    var it = 0
-    var converged = false
-    var pruned = 0L
+    try {
+      pts.count() // materialise so the partition layout is frozen
+      var centroids = init.map(_.map(_.clone())).getOrElse(initialCentroids(pts, k, seed))
+      require(centroids.length == k, s"need k=$k distinct initial centroids, got ${centroids.length}")
+      val d = centroids(0).length
+      var cb: Array[Double] = new Array[Double](k)
+      val drifts = new Array[Double](k)
+      val driverCounter = new DistanceCounter
+      var it = 0
+      var converged = false
+      var pruned = 0L
 
-    while (it < maxIters && !converged) {
-      // Driver-side inter bounds over a centroid index (k is small).
-      val index = if (k > 1) new CentroidIndex(centroids, leafCapacity, driverCounter) else null
-      cb = DaskAssign.interBounds(centroids, index, first = it == 0, cb, drifts, driverCounter)
-      val bc = spark.sparkContext.broadcast((centroids, cb))
+      while (it < maxIters && !converged) {
+        // Driver-side inter bounds over a centroid index (k is small).
+        val index = if (k > 1) new CentroidIndex(centroids, leafCapacity, driverCounter) else null
+        cb = DaskAssign.interBounds(centroids, index, first = it == 0, cb, drifts, driverCounter)
+        val bc = spark.sparkContext.broadcast((centroids, cb))
 
-      // Per-partition batch assignment over the cached trees.
-      import spark.implicits._
-      val partials: Array[(Int, Long, Array[Double], Long)] = pts
-        .mapPartitions { rows =>
-          val pid = TaskContext.getPartitionId()
-          val entry = PartitionIndexCache.getOrBuild(runId, pid, () => {
-            val buf = rows.map(r => (r.getLong(0), r.getSeq[Double](1).toArray)).toArray
-            val data = buf.map(_._2)
-            val counter = new DistanceCounter
-            if (data.isEmpty) new PartitionIndexCache.Entry(Array.empty, null, counter)
-            else new PartitionIndexCache.Entry(
-              buf.map(_._1),
-              new TreeAssignmentState(data, BallTree.build(data, leafCapacity), k),
-              counter)
-          })
-          if (entry.state == null) Iterator.empty
-          else {
-            val (cs, cbLocal) = bc.value
-            val localIndex = if (k > 1) new CentroidIndex(cs, leafCapacity, entry.counter) else null
-            val prunedHere = DaskAssign.step(entry.state, cs, cbLocal, localIndex, entry.counter)
-            (0 until k).iterator
-              .filter(j => entry.state.counts(j) > 0)
-              .map(j => (j, entry.state.counts(j).toLong, entry.state.sums(j), if (j == 0) prunedHere else 0L))
+        // Per-partition batch assignment over the cached trees; each
+        // non-empty partition emits one partial: its pruned count and the
+        // (cluster, count, sum) of its non-empty clusters.
+        import spark.implicits._
+        val partials: Array[(Long, Array[Int], Array[Long], Array[Array[Double]])] = pts
+          .mapPartitions { rows =>
+            val pid = TaskContext.getPartitionId()
+            val entry = PartitionIndexCache.getOrBuild(runId, pid, () => {
+              val buf = rows.map(r => (r.getLong(0), r.getSeq[Double](1).toArray)).toArray
+              val data = buf.map(_._2)
+              val counter = new DistanceCounter
+              if (data.isEmpty) new PartitionIndexCache.Entry(Array.empty, null, counter)
+              else new PartitionIndexCache.Entry(
+                buf.map(_._1),
+                new TreeAssignmentState(data, BallTree.build(data, leafCapacity), k),
+                counter)
+            })
+            if (entry.state == null) Iterator.empty
+            else {
+              val (cs, cbLocal) = bc.value
+              val localIndex = if (k > 1) new CentroidIndex(cs, leafCapacity, entry.counter) else null
+              val prunedHere = DaskAssign.step(entry.state, cs, cbLocal, localIndex, entry.counter)
+              val st = entry.state
+              val ids = (0 until k).filter(j => st.counts(j) > 0).toArray
+              Iterator.single((prunedHere, ids, ids.map(st.counts), ids.map(st.sums)))
+            }
           }
+          .collect()
+
+        // Reduce partials into new centroids.
+        val sums = Array.fill(k)(new Array[Double](d))
+        val counts = new Array[Long](k)
+        partials.foreach { case (pr, ids, cs, ss) =>
+          pruned += pr
+          var x = 0
+          while (x < ids.length) { counts(ids(x)) += cs(x); Vec.addInto(sums(ids(x)), ss(x)); x += 1 }
         }
-        .collect()
-
-      // Reduce partials into new centroids.
-      val sums = Array.fill(k)(new Array[Double](d))
-      val counts = new Array[Long](k)
-      partials.foreach { case (j, c, s, pr) =>
-        counts(j) += c
-        Vec.addInto(sums(j), s)
-        pruned += pr
+        centroids = KMeans.fromSums(sums, counts, centroids, drifts)
+        it += 1
+        converged = KMeans.maxDrift(drifts) <= KMeans.Eps
+        bc.unpersist()
       }
-      var j = 0
-      val next = new Array[Array[Double]](k)
-      while (j < k) {
-        next(j) = if (counts(j) > 0) Vec.scale(sums(j), 1.0 / counts(j)) else centroids(j)
-        drifts(j) = Vec.dist(next(j), centroids(j))
-        j += 1
-      }
-      centroids = next
-      it += 1
-      converged = KMeans.maxDrift(drifts) <= KMeans.Eps
-      bc.unpersist()
-    }
-
-    pts.unpersist()
-    FitResult(centroids, it, runId, pruned)
+      FitResult(centroids, it, runId, pruned)
+    } catch {
+      // A failed run never hands its runId to the caller, so drop its
+      // cached partition state here.
+      case e: Throwable => PartitionIndexCache.drop(runId); throw e
+    } finally pts.unpersist()
   }
 
   /** Final per-point assignments of a finished run as a DataFrame
@@ -165,8 +163,9 @@ object DistributedDaskMeans {
     df.select("id", "features")
       .repartition(parts, col("id"))
       .mapPartitions { rows =>
-        val pid = TaskContext.getPartitionId()
-        PartitionIndexCache.get(fitted.runId, pid) match {
+        val counter = new DistanceCounter; val nn = new KMeans.Nearest
+        def nearest(r: Row): Int = KMeans.nearest(r.getSeq[Double](1).toArray, bc.value, counter, nn).i1
+        PartitionIndexCache.get(fitted.runId, TaskContext.getPartitionId()) match {
           case Some(entry) if entry.state != null =>
             val a = entry.state.materialize()
             val byId = new java.util.HashMap[Long, Int](entry.ids.length * 2)
@@ -174,27 +173,12 @@ object DistributedDaskMeans {
             rows.map { r =>
               val id = r.getLong(0)
               val i = byId.getOrDefault(id, -1)
-              if (i >= 0) (id, a(i))
-              else {
-                val p = r.getSeq[Double](1).toArray
-                (id, nearestOf(p, bc.value))
-              }
+              (id, if (i >= 0) a(i) else nearest(r))
             }
-          case _ =>
-            rows.map { r =>
-              val p = r.getSeq[Double](1).toArray
-              (r.getLong(0), nearestOf(p, bc.value))
-            }
+          case _ => rows.map(r => (r.getLong(0), nearest(r)))
         }
       }
       .toDF("id", "cluster")
-  }
-
-  private def nearestOf(p: Array[Double], cs: Array[Array[Double]]): Int = {
-    var best = 0; var bd = Double.PositiveInfinity
-    var j = 0
-    while (j < cs.length) { val t = Vec.dist2(p, cs(j)); if (t < bd) { bd = t; best = j }; j += 1 }
-    best
   }
 
   def cleanup(fitted: FitResult): Unit = PartitionIndexCache.drop(fitted.runId)
@@ -205,13 +189,9 @@ object DistributedDaskMeans {
     val bc = spark.sparkContext.broadcast(centroids)
     import spark.implicits._
     df.select("features")
-      .map { r =>
-        val p = r.getSeq[Double](0).toArray
-        val cs = bc.value
-        var bd = Double.PositiveInfinity
-        var j = 0
-        while (j < cs.length) { val t = Vec.dist2(p, cs(j)); if (t < bd) bd = t; j += 1 }
-        bd
+      .mapPartitions { rows =>
+        val counter = new DistanceCounter; val nn = new KMeans.Nearest
+        rows.map(r => KMeans.nearest(r.getSeq[Double](0).toArray, bc.value, counter, nn).d1Sq)
       }
       .reduce(_ + _)
   }

@@ -22,4 +22,12 @@ object TestData {
       Array.tabulate(d)(i => c(i) + rnd.nextGaussian() * spread)
     }
   }
+
+  /** Points drawn uniformly from the integer grid {0, …, side − 1}²: many
+    * duplicate points, duplicate initial centroids and exact distance ties.
+    */
+  def grid(n: Int, side: Int, seed: Long): Array[Array[Double]] = {
+    val rnd = new Random(seed)
+    Array.fill(n)(Array(rnd.nextInt(side).toDouble, rnd.nextInt(side).toDouble))
+  }
 }

@@ -107,6 +107,31 @@ class ExactnessSpec extends AnyFunSuite {
     }
   }
 
+  test("tie-heavy integer grid: same assignments and iterations as Lloyd") {
+    // Dask-means, NoInB, Drake and Yinyang are left out: they do not yet
+    // break exact ties by the lowest centroid index (ROADMAP item 1).
+    val tieExact = Seq(
+      new NoBound,
+      new DualTree(leafCapacity = 8),
+      new Hamerly,
+      new Elkan,
+      new DaskMeans(useKnn = false, leafCapacity = 16),
+      new DaskMeans(useKnn = false, useInterBound = false, leafCapacity = 16),
+    )
+    val k = 50
+    for (seed <- 1L to 3L; iters <- Seq(1, 10)) {
+      val data = TestData.grid(4000, 20, seed)
+      val init = KMeans.initCentroids(data, k, seed)
+      val ref = new Lloyd().run(data, k, iters, init)
+      tieExact.foreach { algo =>
+        val r = algo.run(data, k, iters, init)
+        val diffs = r.assignments.zip(ref.assignments).count(p => p._1 != p._2)
+        assert(diffs == 0, s"${algo.name}: $diffs assignments differ (seed=$seed iters=$iters)")
+        assert(r.iterations == ref.iterations, s"${algo.name}: ${r.iterations} vs ${ref.iterations} iters (seed=$seed)")
+      }
+    }
+  }
+
   test("accelerators compute no more distances than Lloyd on clusterable data") {
     val data = TestData.blobs(3000, 2, 25, 1.0, 9L)
     val k = 50

@@ -58,11 +58,6 @@ class VecSpec extends AnyFunSuite {
     }
   }
 
-  test("axpyInto scales and adds") {
-    val a = Array(1.0, 1.0); Vec.axpyInto(a, 2.0, Array(3.0, -1.0))
-    assert(a.sameElements(Array(7.0, -1.0)))
-  }
-
   test("scale produces a fresh scaled array") {
     val a = Array(2.0, 4.0)
     val s = Vec.scale(a, 0.5)

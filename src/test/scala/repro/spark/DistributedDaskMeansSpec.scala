@@ -1,6 +1,7 @@
 package repro.spark
 
-import repro.SparkSpec
+import org.apache.spark.sql.functions.{col, spark_partition_id}
+import repro.{SparkSpec, TestData}
 import repro.baselines.Lloyd
 import repro.core.{KMeans, Vec}
 import repro.spatial.SpatialData
@@ -79,6 +80,36 @@ class DistributedDaskMeansSpec extends SparkSpec {
     val fitted = DistributedDaskMeans.fit(df, 15, 6, numPartitions = 4)
     try assert(fitted.batchPrunedVectors > 0)
     finally DistributedDaskMeans.cleanup(fitted)
+  }
+
+  test("every partition's pruned count is kept, also where cluster 0 is empty") {
+    import spark.implicits._
+    // Point 0 lies far from the rest and is initial centroid 0, so cluster 0
+    // holds only it; each partition without it batch-assigns its whole root
+    // to cluster 1 in every iteration.
+    val data = Array(1e6, 1e6) +: TestData.blobs(2000, 2, 1, 1.0, 11L)
+    val df = data.zipWithIndex.map { case (p, i) => (i.toLong, p.toSeq) }.toSeq.toDF("id", "features")
+    val pid = df.repartition(4, col("id")).select(col("id"), spark_partition_id()).as[(Long, Int)].collect()
+    val outlierPid = pid.find(_._1 == 0L).get._2
+    val f = pid.count(_._2 == outlierPid)
+    val fitted = DistributedDaskMeans.fit(df, 2, 5, numPartitions = 4, init = Some(Array(data(0), data(1))))
+    try assert(fitted.batchPrunedVectors >= fitted.iterations.toLong * (data.length - f),
+      s"pruned ${fitted.batchPrunedVectors} over ${fitted.iterations} iterations, n=${data.length} f=$f")
+    finally DistributedDaskMeans.cleanup(fitted)
+  }
+
+  test("a fit that throws drops its cache entries and its persisted frame") {
+    val (df, _) = fixture(600, "Porto")
+    val cached = PartitionIndexCache.size
+    val persisted = spark.sparkContext.getPersistentRDDs.size
+    // 1-d initial centroids over 2-d points: each task caches its tree, then
+    // fails on its first point-centroid distance.
+    val init = Array.tabulate(3)(j => Array(j.toDouble))
+    intercept[Exception](DistributedDaskMeans.fit(df, 3, 3, numPartitions = 3, init = Some(init)))
+    // Too few initial centroids: rejected on the driver after the frame is persisted.
+    intercept[IllegalArgumentException](DistributedDaskMeans.fit(df, 3, 3, numPartitions = 3, init = Some(init.take(2))))
+    assert(PartitionIndexCache.size == cached)
+    assert(spark.sparkContext.getPersistentRDDs.size == persisted)
   }
 
   test("sse agrees with a serial computation") {
